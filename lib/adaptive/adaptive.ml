@@ -24,16 +24,16 @@ let bound_of (p : ('s, 'i) P.params) =
    error DAG), the damage stays where the fault is: cells below the
    refuted one were just verified against the current neighbor cells
    and survive. *)
-let truncation_height p (v : ('s, 'i) P.view) =
-  let i = P.first_bad p v ~base:0 ~top:(P.top_checkable v) in
+let truncation_height sc p (v : ('s, 'i) P.view) =
+  let i = P.first_bad sc p v ~base:0 ~top:(P.top_checkable v) in
   i - 1
 
-let rule_rs ~algo_err p =
+let rule_rs ~algo_err ~scratch p =
   {
     Algorithm.rule_name = rs;
     guard = (fun v -> algo_err p v);
     action =
-      (fun v -> St.truncate v.Algorithm.self (truncation_height p v));
+      (fun v -> St.truncate v.Algorithm.self (truncation_height (scratch ()) p v));
   }
 
 (* RX: extend when no refuted cell exists, the list is not full, and
@@ -41,7 +41,7 @@ let rule_rs ~algo_err p =
    neighbor-height window (§3's [updatable] requires [nb <= h+1]):
    after a point truncation the neighbors may tower arbitrarily high
    above the repaired node, and waiting for them would deadlock. *)
-let rule_rx p =
+let rule_rx ~scratch p =
   let b = bound_of p in
   {
     Algorithm.rule_name = rx;
@@ -52,7 +52,7 @@ let rule_rx p =
     action =
       (fun v ->
         let self = v.Algorithm.self in
-        St.extend self (P.algo_hat p v (St.height self)));
+        St.extend self (P.algo_hat (scratch ()) p v (St.height self)));
   }
 
 (* CO: a node still flagged [E] by a transient fault clears the flag
@@ -67,13 +67,13 @@ let rule_co p =
     action = (fun v -> St.with_status v.Algorithm.self St.C);
   }
 
-let algorithm_gen ~algo_err p =
+let algorithm_gen ~algo_err ~scratch p =
   let b = bound_of p in
   {
     Algorithm.algo_name =
       Printf.sprintf "adaptive(%s,B=%d)" p.P.sync.Sync_algo.sync_name b;
     equal = St.equal p.P.sync.Sync_algo.equal;
-    rules = [ rule_rs ~algo_err p; rule_rx p; rule_co p ];
+    rules = [ rule_rs ~algo_err ~scratch p; rule_rx ~scratch p; rule_co p ];
     pp_state = St.pp p.P.sync.Sync_algo.pp_state;
   }
 
@@ -84,11 +84,12 @@ let algorithm p =
   let key = Domain.DLS.new_key P.make_cache in
   algorithm_gen
     ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v)
+    ~scratch:(fun () -> P.cache_scratch (Domain.DLS.get key))
     p
 
 let algorithm_uncached p =
   ignore (bound_of p);
-  algorithm_gen ~algo_err:P.algo_err p
+  algorithm_gen ~algo_err:P.algo_err ~scratch:P.make_scratch p
 
 (* The state space is exactly the §3 transformer's, so configurations,
    the packed backend and the fault model are shared. *)

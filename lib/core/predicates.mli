@@ -28,8 +28,18 @@ val below_bound : bound -> int -> bool
 val bound_to_int : bound -> int
 (** [Finite b -> b], [Infinite -> max_int] (for caps in experiments). *)
 
-val algo_hat : ('s, 'i) params -> ('s, 'i) view -> int -> 's
-(** [algo_hat params v i] is the paper's [algô(p, i)]: the simulated
+type 's scratch
+(** Reusable dependency buffers (one per degree) for {!algo_hat},
+    {!first_bad} and {!updatable}: the simulated [step] receives a
+    buffer refilled in place instead of a freshly allocated neighbor
+    array, which is sound because [step] must not retain its array.
+    A scratch must not be used by two domains at once. *)
+
+val make_scratch : unit -> 's scratch
+(** A fresh, empty scratch. *)
+
+val algo_hat : 's scratch -> ('s, 'i) params -> ('s, 'i) view -> int -> 's
+(** [algo_hat sc params v i] is the paper's [algô(p, i)]: the simulated
     algorithm applied by the node when every node of its closed
     neighborhood is in the state of its cell [i].  All heights in the
     closed neighborhood must be [>= i] — guaranteed by the guards that
@@ -44,8 +54,9 @@ val top_checkable : ('s, 'i) view -> int
     for an isolated node) — cell [i] is checkable when every
     dependency [q.L(i-1)] exists. *)
 
-val first_bad : ('s, 'i) params -> ('s, 'i) view -> base:int -> top:int -> int
-(** [first_bad params v ~base ~top] scans cells [base+1 .. top]
+val first_bad :
+  's scratch -> ('s, 'i) params -> ('s, 'i) view -> base:int -> top:int -> int
+(** [first_bad sc params v ~base ~top] scans cells [base+1 .. top]
     (cells [1 .. base] are assumed verified) and returns the index of
     the first cell that differs from [algô(p, i-1)], or [top + 1] when
     the whole range verifies.  The shared primitive under
@@ -56,7 +67,7 @@ val algo_err : ('s, 'i) params -> ('s, 'i) view -> bool
 (** [algoErr(p)]: some cell [1 <= i <= h] has all its dependencies
     present ([∀q, q.h >= i-1]) yet differs from [algô(p, i-1)].
     Reference implementation: re-verifies the whole checkable prefix,
-    O(h·deg) calls to [step]. *)
+    O(h·deg) calls to [step], on a fresh scratch per call. *)
 
 type ('s, 'i) cache
 (** Memoized verification watermarks for {!algo_err_cached}: per node
@@ -72,7 +83,12 @@ type ('s, 'i) cache
 val make_cache : unit -> ('s, 'i) cache
 (** A fresh, empty cache.  One cache serves one (algorithm, graph)
     instantiation; sharing it across unrelated configs is safe (keys
-    are globally unique buffer ids) but wastes capacity. *)
+    are globally unique buffer ids) but wastes capacity.  Like a
+    scratch, a cache must not be used by two domains at once. *)
+
+val cache_scratch : ('s, 'i) cache -> 's scratch
+(** The scratch {!algo_err_cached} scans with, for the other guards
+    and actions of the same instantiation to share. *)
 
 val algo_err_cached : ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> bool
 (** Same result as {!algo_err}, but O(deg) on a stamp-exact hit and
@@ -103,8 +119,9 @@ val can_clear_e : ('s, 'i) params -> ('s, 'i) view -> bool
     node's, and no higher neighbor still in error — the node may leave
     the error DAG. *)
 
-val updatable : ('s, 'i) params -> ('s, 'i) view -> bool
+val updatable : 's scratch -> ('s, 'i) params -> ('s, 'i) view -> bool
 (** [updatable(p)]: correct status, list not full, neighbor heights in
     [\[h, h+1\]], and — in lazy mode — a reason to go on: either the
     simulation has not terminated at height [h] or some neighbor is
-    already ahead. *)
+    already ahead.  The O(deg) height tests run first, so [step] is
+    called only when the answer depends on it. *)

@@ -275,6 +275,20 @@ let fold_cells f acc st =
   done;
   !acc
 
+let write_words (c : 's Cellpack.codec) st dst =
+  let w = c.Cellpack.words in
+  let n = (st.len + 1) * w in
+  if Array.length dst < n then invalid_arg "Trans_state.write_words";
+  c.Cellpack.pack dst 0 st.init;
+  (match st.backend with
+  | Packed { arena; node; _ } when arena.Cellpack.codec == c ->
+      Array.blit arena.Cellpack.data (Cellpack.slot arena node 0) dst w (st.len * w)
+  | _ ->
+      for i = 1 to st.len do
+        c.Cellpack.pack dst (i * w) (cell st i)
+      done);
+  n
+
 let snapshot st = (st.status, st.init, cells st)
 
 let pp_status ppf = function

@@ -140,6 +140,14 @@ val cells : 's t -> 's array
 val fold_cells : ('a -> 's -> 'a) -> 'a -> 's t -> 'a
 (** Left fold over the logical cells [L(1) .. L(h)], allocation-free. *)
 
+val write_words : 's Cellpack.codec -> 's t -> int array -> int
+(** [write_words c st dst] writes the codec image of [init], [L(1)],
+    ..., [L(h)] ([c.words] ints each, in that order) to the front of
+    [dst] and returns the number of ints written, [(h + 1) · c.words].
+    A packed state whose arena uses [c] itself is copied straight from
+    its slab, without unpacking a cell.
+    @raise Invalid_argument if [dst] is too short. *)
+
 val snapshot : 's t -> status * 's * 's array
 (** Canonical logical content [(status, init, cells)].  Two logically
     equal states yield structurally equal snapshots regardless of how

@@ -40,7 +40,8 @@ let rule_rr ~algo_err p =
 let rule_rp p =
   {
     Algorithm.rule_name = rp;
-    guard = (fun v -> P.err_prop_index p v <> None);
+    guard =
+      (fun v -> match P.err_prop_index p v with Some _ -> true | None -> false);
     action =
       (fun v ->
         match P.err_prop_index p v with
@@ -55,24 +56,24 @@ let rule_rc p =
     action = (fun v -> St.with_status v.Algorithm.self St.C);
   }
 
-let rule_ru p =
+let rule_ru ~scratch p =
   {
     Algorithm.rule_name = ru;
-    guard = (fun v -> P.updatable p v);
+    guard = (fun v -> P.updatable (scratch ()) p v);
     action =
       (fun v ->
         let self = v.Algorithm.self in
-        St.extend self (P.algo_hat p v (St.height self)));
+        St.extend self (P.algo_hat (scratch ()) p v (St.height self)));
   }
 
-let algorithm_gen ~algo_err p =
+let algorithm_gen ~algo_err ~scratch p =
   {
     Algorithm.algo_name =
       Printf.sprintf "trans(%s,%s,B=%s)" p.sync.Sync_algo.sync_name
         (match p.mode with P.Lazy -> "lazy" | P.Greedy -> "greedy")
         (match p.bound with P.Infinite -> "inf" | P.Finite b -> string_of_int b);
     equal = St.equal p.sync.Sync_algo.equal;
-    rules = [ rule_rr ~algo_err p; rule_rp p; rule_rc p; rule_ru p ];
+    rules = [ rule_rr ~algo_err p; rule_rp p; rule_rc p; rule_ru ~scratch p ];
     pp_state = St.pp p.sync.Sync_algo.pp_state;
   }
 
@@ -84,12 +85,17 @@ let algorithm_gen ~algo_err p =
    per-domain instances cannot affect the execution; each DLS key
    costs every domain one slot for the life of the process, which at
    campaign scale (thousands of instantiations) is a few kilobytes
-   per domain. *)
+   per domain.  The cache's dependency scratch serves RU's guard and
+   action on the same terms. *)
 let algorithm p =
   let key = Domain.DLS.new_key P.make_cache in
-  algorithm_gen ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v) p
+  algorithm_gen
+    ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v)
+    ~scratch:(fun () -> P.cache_scratch (Domain.DLS.get key))
+    p
 
-let algorithm_uncached p = algorithm_gen ~algo_err:P.algo_err p
+let algorithm_uncached p =
+  algorithm_gen ~algo_err:P.algo_err ~scratch:P.make_scratch p
 
 let clean_config p g ~inputs =
   Config.make g ~inputs ~states:(fun node ->

@@ -27,8 +27,22 @@ let default_proof_cost = { proof_bits = 64; nonce_bits = 64 }
 let proof_message_bits pc = pc.proof_bits + pc.nonce_bits
 let request_message_bits = 2
 
+let nonce_mix = 0x9E3779B97F4A7C15L
+
 let state_proof ~nonce s =
-  Int64.logxor (Util.fnv1a64 s) (Int64.mul nonce 0x9E3779B97F4A7C15L)
+  Int64.logxor (Util.fnv1a64 s) (Int64.mul nonce nonce_mix)
+
+(* The same salting over 32-bit halves; the int64 temporaries never
+   leave this function, so none is boxed. *)
+let write_proof ~nonce src soff dst doff =
+  let d =
+    Int64.logor
+      (Int64.of_int src.(soff))
+      (Int64.shift_left (Int64.of_int src.(soff + 1)) 32)
+  in
+  let p = Int64.logxor d (Int64.mul (Int64.of_int nonce) nonce_mix) in
+  dst.(doff) <- Int64.to_int (Int64.logand p 0xFFFF_FFFFL);
+  dst.(doff + 1) <- Int64.to_int (Int64.shift_right_logical p 32)
 
 let full_state_bits sync st =
   let bits = sync.Sync_algo.state_bits in

@@ -60,6 +60,15 @@ val state_proof : nonce:int64 -> string -> int64
     salted with the nonce.  Exposed so tests can check that proofs
     discriminate distinct states. *)
 
+val write_proof : nonce:int -> int array -> int -> int array -> int -> unit
+(** [write_proof ~nonce src soff dst doff] is {!state_proof} on a
+    digest already computed: [src.(soff)] and [src.(soff + 1)] hold the
+    low and high 32-bit halves of [Util.fnv1a64 s] (as written by
+    [Util.fnv1a64_words_into]), and the halves of
+    [state_proof ~nonce:(Int64.of_int nonce) s] are written to
+    [dst.(doff)] and [dst.(doff + 1)].  Allocates nothing: the
+    message network salts a memoized digest once per proof. *)
+
 val full_state_bits :
   ('s, 'i) Ss_sync.Sync_algo.t -> 's Ss_core.Trans_state.t -> int
 (** Bits of a whole transformed state: 1 status bit plus the sizes of

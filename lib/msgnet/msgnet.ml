@@ -7,6 +7,7 @@ module Cellpack = Ss_core.Cellpack
 module Transformer = Ss_core.Registry.Trans
 module Energy = Ss_energy.Energy
 module Rng = Ss_prelude.Rng
+module Util = Ss_prelude.Util
 module Budget = Ss_report.Budget
 module Run_report = Ss_report.Run_report
 
@@ -123,27 +124,46 @@ let canonical_bytes (st : _ St.t) =
 
 (* Codec proof pre-image: the same logical content (status, init,
    cells in order) written through the algorithm's fixed-width
-   {!Cellpack} codec into a reusable buffer — no boxed snapshot, no
-   Marshal walk.  Equality agreement with [canonical_bytes] is what
-   the proof protocol needs, and holds by construction: the byte
-   length determines the height, the first byte the status, and
-   [unpack] after [pack] reproducing the state makes the per-cell
-   word image injective — so equal bytes iff equal snapshots. *)
-let codec_bytes_into (c : 's Cellpack.codec) buf cscratch (st : 's St.t) =
-  Buffer.clear buf;
-  Buffer.add_char buf (match St.status st with St.C -> 'C' | St.E -> 'E');
-  let add s =
-    c.Cellpack.pack cscratch 0 s;
-    for w = 0 to c.Cellpack.words - 1 do
-      Buffer.add_int64_le buf (Int64.of_int cscratch.(w))
-    done
-  in
-  add (St.init st);
-  St.fold_cells (fun () s -> add s) () st;
+   {!Cellpack} codec — no boxed snapshot, no Marshal walk.  Equality
+   agreement with [canonical_bytes] is what the proof protocol needs,
+   and holds by construction: the byte length determines the height,
+   the first byte the status, and [unpack] after [pack] reproducing
+   the state makes the per-cell word image injective — so equal bytes
+   iff equal snapshots. *)
+let status_byte st = match St.status st with St.C -> 'C' | St.E -> 'E'
+
+let codec_bytes (c : 's Cellpack.codec) (st : 's St.t) =
+  let words = Array.make ((St.height st + 1) * c.Cellpack.words) 0 in
+  let len = St.write_words c st words in
+  let buf = Buffer.create (1 + (8 * len)) in
+  Buffer.add_char buf (status_byte st);
+  for i = 0 to len - 1 do
+    Buffer.add_int64_le buf (Int64.of_int words.(i))
+  done;
   Buffer.contents buf
 
-let codec_bytes c st =
-  codec_bytes_into c (Buffer.create 64) (Array.make c.Cellpack.words 0) st
+(* The proof digest of the codec image, [Util.fnv1a64 (codec_bytes c
+   st)], streamed from the codec words in [!words] (grown on demand,
+   reused across calls) with no buffer or string: the halves land in
+   [dst.(off)], [dst.(off + 1)]. *)
+let codec_digest_into c words st dst off =
+  let need = (St.height st + 1) * c.Cellpack.words in
+  if Array.length !words < need then
+    words := Array.make (max need (2 * Array.length !words)) 0;
+  let len = St.write_words c st !words in
+  Util.fnv1a64_words_into ~lead:(status_byte st) !words len dst off
+
+let int64_of_halves a off =
+  Int64.logor (Int64.of_int a.(off)) (Int64.shift_left (Int64.of_int a.(off + 1)) 32)
+
+let store_halves a off h =
+  a.(off) <- Int64.to_int (Int64.logand h 0xFFFF_FFFFL);
+  a.(off + 1) <- Int64.to_int (Int64.shift_right_logical h 32)
+
+let codec_digest c st =
+  let d = [| 0; 0 |] in
+  codec_digest_into c (ref [||]) st d 0;
+  int64_of_halves d 0
 
 (* A delta's wire size is derivable from the delta alone: D_ru carries
    the new top cell, whose size is the sync algorithm's state_bits. *)
@@ -344,49 +364,44 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
     | D_ru s -> mirror_extend mirror s
   in
 
-  (* Proof pre-images, memoized by the §10 version stamp: serializing
-     a transformer state is far more expensive than hashing it, and
+  (* Proof digests, memoized by the §10 version stamp: encoding and
+     hashing a transformer state is the expensive part of a proof, and
      proof waves keep re-proving states and mirrors that have not
-     changed since the previous wave.  A state's stamp only matches
-     the memo's when the entry was computed from that very
-     construction, so a hit can never serve stale bytes — and no
-     write-path invalidation hook is needed at all.  The encoder is
-     the algorithm's codec when one is given (reusable buffer, no
-     boxed snapshot), the Marshal reference otherwise. *)
-  let encode =
+     changed since the previous wave.  The memo holds the nonce-free
+     digest as two 32-bit halves, so a wave nonce only salts it
+     ({!Energy.write_proof}).  A state's stamp only matches the memo's
+     when the entry was computed from that very construction, so a hit
+     can never serve a stale digest — and no write-path invalidation
+     hook is needed at all.  With a codec the digest is streamed from
+     the codec words; without one it hashes the Marshal reference
+     bytes. *)
+  let digest_into =
     match codec with
     | Some c ->
-        let buf = Buffer.create 64 in
-        let cscratch = Array.make c.Cellpack.words 0 in
-        fun st -> codec_bytes_into c buf cscratch st
-    | None -> canonical_bytes
+        let words = ref [||] in
+        fun st dst off -> codec_digest_into c words st dst off
+    | None ->
+        fun st dst off -> store_halves dst off (Util.fnv1a64 (canonical_bytes st))
   in
-  let state_ser = Array.make (max 1 n) "" in
-  let state_ser_stamp = Array.make (max 1 n) (-1) in
-  let serialize_state v =
+  let state_dig = Array.make (2 * max 1 n) 0 in
+  let state_dig_stamp = Array.make (max 1 n) (-1) in
+  let refresh_state_digest v =
     let st = states.(v) in
     let k = St.stamp st in
-    if state_ser_stamp.(v) = k then state_ser.(v)
-    else begin
-      let s = encode st in
-      state_ser_stamp.(v) <- k;
-      state_ser.(v) <- s;
-      s
+    if state_dig_stamp.(v) <> k then begin
+      digest_into st state_dig (2 * v);
+      state_dig_stamp.(v) <- k
     end
   in
   (* Mirror memo, dense over the same (node, port) channel numbering. *)
-  let mirror_ser = Array.make (max 1 nchan) "" in
-  let mirror_ser_stamp = Array.make (max 1 nchan) (-1) in
-  let serialize_mirror v port =
-    let id = chan_of.(v).(port) in
+  let mirror_dig = Array.make (2 * max 1 nchan) 0 in
+  let mirror_dig_stamp = Array.make (max 1 nchan) (-1) in
+  let refresh_mirror_digest v port id =
     let st = mirrors.(v).(port) in
     let k = St.stamp st in
-    if mirror_ser_stamp.(id) = k then mirror_ser.(id)
-    else begin
-      let s = encode st in
-      mirror_ser_stamp.(id) <- k;
-      mirror_ser.(id) <- s;
-      s
+    if mirror_dig_stamp.(id) <> k then begin
+      digest_into st mirror_dig (2 * id);
+      mirror_dig_stamp.(id) <- k
     end
   in
   let set_mirror v port st = mirrors.(v).(port) <- st in
@@ -413,26 +428,25 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
   let account_drain bits = queued_bits := !queued_bits - bits in
 
   (* Indexed wire codec: flatten a message into [rscratch] and push it
-     on the channel's ring.  Proofs split their 64-bit hash into two
-     32-bit words plus the nonce; deltas carry the rule tag and, with
-     a codec, the int-packed payload cell.  Anything else parks the
-     variant in the side queue behind a [tag_boxed] record. *)
+     on the channel's ring.  Deltas carry the rule tag and, with a
+     codec, the int-packed payload cell.  Anything else parks the
+     variant in the side queue behind a [tag_boxed] record.  Proofs
+     never pass through here: a wave writes their records — the 64-bit
+     hash as two 32-bit words, then the nonce — straight from the
+     digest memo ([send_proof]). *)
   let rscratch =
     let cwords = match codec with Some c -> c.Cellpack.words | None -> 0 in
     Array.make (max 4 (1 + cwords)) 0
   in
+  (* The salted proof a delivered one is compared against. *)
+  let expected = [| 0; 0 |] in
   let encode_push cid msg =
     let r = rings.(cid) in
     match msg with
     | Request ->
         rscratch.(0) <- tag_request;
         Ringbuf.push r rscratch 1
-    | Proof (h, pn) ->
-        rscratch.(0) <- tag_proof;
-        rscratch.(1) <- Int64.to_int (Int64.logand h 0xFFFF_FFFFL);
-        rscratch.(2) <- Int64.to_int (Int64.shift_right_logical h 32);
-        rscratch.(3) <- Int64.to_int pn;
-        Ringbuf.push r rscratch 4
+    | Proof _ -> invalid_arg "Msgnet: indexed proofs are pushed as records"
     | Update_delta D_rr ->
         rscratch.(0) <- tag_rr;
         Ringbuf.push r rscratch 1
@@ -458,18 +472,11 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
         Ringbuf.push r rscratch 1;
         Queue.push boxed (side_q cid)
   in
-  (* [rscratch] holds the head record; [popped] tells the side queue
-     whether to consume or only peek its aligned boxed payload. *)
+  (* [rscratch] holds a non-proof head record; [popped] tells the side
+     queue whether to consume or only peek its aligned boxed payload. *)
   let decode_scratch cid ~popped =
     match rscratch.(0) with
     | 0 -> Request
-    | 1 ->
-        let h =
-          Int64.logor
-            (Int64.of_int rscratch.(1))
-            (Int64.shift_left (Int64.of_int rscratch.(2)) 32)
-        in
-        Proof (h, Int64.of_int rscratch.(3))
     | 2 -> Update_delta D_rr
     | 3 -> Update_delta D_rc
     | 4 -> Update_delta (D_rp rscratch.(1))
@@ -477,43 +484,33 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
         match codec with
         | Some c -> Update_delta (D_ru (c.Cellpack.unpack rscratch 1))
         | None -> assert false (* tag_ru is only pushed with a codec *))
-    | _ ->
+    | 6 ->
         let q = side_q cid in
         if popped then Queue.pop q else Queue.peek q
+    | _ -> invalid_arg "Msgnet: a proof record is never decoded"
   in
 
-  let send cid msg bits =
+  let sent cid kind bits =
     account_send bits;
     if observing then
-      emit
-        (Sent
-           {
-             src = chan_src.(cid);
-             dst = chan_dst.(cid);
-             kind = kind_of_message msg;
-             bits;
-           });
+      emit (Sent { src = chan_src.(cid); dst = chan_dst.(cid); kind; bits })
+  in
+  let send cid msg bits =
+    sent cid (kind_of_message msg) bits;
     if indexed then begin
       if Ringbuf.is_empty rings.(cid) then Chanset.add active cid;
       encode_push cid msg
     end
     else Queue.push msg (chan_queue cid)
   in
-  let pop_head cid =
-    if indexed then begin
-      ignore (Ringbuf.pop rings.(cid) rscratch);
-      let msg = decode_scratch cid ~popped:true in
-      if Ringbuf.is_empty rings.(cid) then Chanset.remove active cid;
-      msg
-    end
-    else Queue.pop (chan_queue cid)
-  in
-  let peek_head cid =
-    if indexed then begin
-      ignore (Ringbuf.peek rings.(cid) rscratch);
-      decode_scratch cid ~popped:false
-    end
-    else Queue.peek (chan_queue cid)
+  (* Indexed proof send: [rscratch.(1..3)] already hold the wave's
+     record for the sending node (hash halves, nonce). *)
+  let send_proof cid =
+    sent cid K_proof proof_msg_bits;
+    let r = rings.(cid) in
+    if Ringbuf.is_empty r then Chanset.add active cid;
+    rscratch.(0) <- tag_proof;
+    Ringbuf.push r rscratch 4
   in
   let chan_pending cid =
     if indexed then Ringbuf.records rings.(cid)
@@ -608,7 +605,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
      it).  Dropping also keeps [requests_in_wave] correctly attributed:
      only current-wave proofs can raise requests, so the reset at wave
      start can never erase or miscount in-flight evidence. *)
-  let nonce = ref 0L in
+  let nonce = ref 0 in
   (* Wave integrity.  Quiescence is deduced from "the last wave raised
      no request" — sound over loss-free FIFO channels, but any chaos
      action (drop, duplicate, reorder, corruption) after the wave began
@@ -619,15 +616,35 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
   let wave_intact = ref false in
   let chaos_hit () = wave_intact := false in
 
+  let arrive cid kind =
+    c.deliveries <- c.deliveries + 1;
+    if observing then
+      emit (Delivered { src = chan_src.(cid); dst = chan_dst.(cid); kind })
+  in
+  (* A delivered proof of v's port neighbor, given by its hash halves
+     and wave nonce: a superseded wave's proof is dropped, and one that
+     does not match the salted digest of v's mirror asks for a full
+     copy.  Nothing is allocated on a memo hit. *)
+  let check_proof v port ~lo ~hi ~pnonce =
+    if pnonce < !nonce then
+      c.stale_proof_messages <- c.stale_proof_messages + 1
+    else begin
+      let id = chan_of.(v).(port) in
+      refresh_mirror_digest v port id;
+      Energy.write_proof ~nonce:pnonce mirror_dig (2 * id) expected 0;
+      if expected.(0) <> lo || expected.(1) <> hi then begin
+        c.request_messages <- c.request_messages + 1;
+        c.requests_in_wave <- c.requests_in_wave + 1;
+        send chan_of.(v).(port) Request Energy.request_message_bits
+      end
+    end
+  in
   (* Deliver [msg], already popped from (or peeked at the head of)
      channel [cid]: count it, notify sinks, and run the receiver's
      protocol reaction. *)
   let process cid msg =
-    c.deliveries <- c.deliveries + 1;
+    arrive cid (kind_of_message msg);
     let v = chan_dst.(cid) in
-    if observing then
-      emit
-        (Delivered { src = chan_src.(cid); dst = v; kind = kind_of_message msg });
     (* The naive path re-derives the receiver-side port with the O(deg)
        scan the original code paid per delivery. *)
     let port =
@@ -635,36 +652,64 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
       else Graph.port_of g v chan_src.(cid)
     in
     match msg with
-    | Update_full s ->
+    | Update_full s | Full_copy s ->
         set_mirror v port (install v port s);
         act v
     | Update_delta d ->
         set_mirror v port (apply_delta mirrors.(v).(port) d);
         act v
     | Proof (h, pnonce) ->
-        if pnonce < !nonce then
-          c.stale_proof_messages <- c.stale_proof_messages + 1
-        else if Energy.state_proof ~nonce:pnonce (serialize_mirror v port) <> h
-        then begin
-          c.request_messages <- c.request_messages + 1;
-          c.requests_in_wave <- c.requests_in_wave + 1;
-          send chan_of.(v).(port) Request Energy.request_message_bits
-        end
+        check_proof v port
+          ~lo:(Int64.to_int (Int64.logand h 0xFFFF_FFFFL))
+          ~hi:(Int64.to_int (Int64.shift_right_logical h 32))
+          ~pnonce:(Int64.to_int pnonce)
     | Request ->
         let fb = Energy.full_state_bits sync states.(v) in
         c.full_copy_messages <- c.full_copy_messages + 1;
         c.full_copy_bits <- c.full_copy_bits + fb;
         send chan_of.(v).(port) (Full_copy states.(v)) fb
-    | Full_copy s ->
-        set_mirror v port (install v port s);
-        act v
   in
 
-  let deliver cid =
-    let msg = pop_head cid in
-    account_drain (message_bits msg);
-    process cid msg
+  (* Take the head of [cid]: consumed (its bits drained) when [pop],
+     left queued otherwise, and return its kind.  An indexed proof
+     stays in [rscratch] as its ring record — it is checked from there
+     and never boxed; any other message is decoded into [head]. *)
+  let head = ref Request in
+  let take cid ~pop =
+    if indexed then begin
+      let r = rings.(cid) in
+      if pop then begin
+        ignore (Ringbuf.pop r rscratch);
+        if Ringbuf.is_empty r then Chanset.remove active cid
+      end
+      else ignore (Ringbuf.peek r rscratch);
+      if rscratch.(0) = tag_proof then begin
+        if pop then account_drain proof_msg_bits;
+        K_proof
+      end
+      else begin
+        head := decode_scratch cid ~popped:pop;
+        if pop then account_drain (message_bits !head);
+        kind_of_message !head
+      end
+    end
+    else begin
+      let q = chan_queue cid in
+      head := if pop then Queue.pop q else Queue.peek q;
+      if pop then account_drain (message_bits !head);
+      kind_of_message !head
+    end
   in
+  (* Deliver the message [take] just returned the kind of. *)
+  let deliver_taken cid kind =
+    if indexed && kind = K_proof then begin
+      arrive cid K_proof;
+      check_proof chan_dst.(cid) chan_dst_port.(cid) ~lo:rscratch.(1)
+        ~hi:rscratch.(2) ~pnonce:rscratch.(3)
+    end
+    else process cid !head
+  in
+  let deliver cid = deliver_taken cid (take cid ~pop:true) in
 
   (* Chaos actions, each charged as one event.  Drop discards the
      channel head; duplicate delivers the head while the copy stays
@@ -673,32 +718,19 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
      when the queue holds a single message, where it degenerates to a
      plain delivery). *)
   let chaos_drop cid =
-    let msg = pop_head cid in
-    account_drain (message_bits msg);
+    let kind = take cid ~pop:true in
     c.dropped <- c.dropped + 1;
     chaos_hit ();
     if observing then
-      emit
-        (Dropped
-           {
-             src = chan_src.(cid);
-             dst = chan_dst.(cid);
-             kind = kind_of_message msg;
-           })
+      emit (Dropped { src = chan_src.(cid); dst = chan_dst.(cid); kind })
   in
   let chaos_duplicate cid =
-    let msg = peek_head cid in
+    let kind = take cid ~pop:false in
     c.duplicated <- c.duplicated + 1;
     chaos_hit ();
     if observing then
-      emit
-        (Duplicated
-           {
-             src = chan_src.(cid);
-             dst = chan_dst.(cid);
-             kind = kind_of_message msg;
-           });
-    process cid msg
+      emit (Duplicated { src = chan_src.(cid); dst = chan_dst.(cid); kind });
+    deliver_taken cid kind
   in
   let chaos_reorder cid =
     if chan_pending cid < 2 then deliver cid
@@ -767,18 +799,26 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
   let proof_wave ~at =
     last_wave_event := at;
     wave_intact := true;
-    nonce := Int64.add !nonce 1L;
+    incr nonce;
     c.proof_waves <- c.proof_waves + 1;
     c.requests_in_wave <- 0;
-    if observing then emit (Wave { nonce = Int64.to_int !nonce });
-    Graph.iter_nodes g (fun v ->
-        let h = Energy.state_proof ~nonce:!nonce (serialize_state v) in
-        Array.iter
-          (fun cid ->
-            c.proof_messages <- c.proof_messages + 1;
-            c.proof_bits_total <- c.proof_bits_total + proof_msg_bits;
-            send cid (Proof (h, !nonce)) proof_msg_bits)
-          chan_of.(v))
+    if observing then emit (Wave { nonce = !nonce });
+    for v = 0 to n - 1 do
+      refresh_state_digest v;
+      (* v's proof, as the ring record's payload words. *)
+      Energy.write_proof ~nonce:!nonce state_dig (2 * v) rscratch 1;
+      rscratch.(3) <- !nonce;
+      let chans = chan_of.(v) in
+      for i = 0 to Array.length chans - 1 do
+        c.proof_messages <- c.proof_messages + 1;
+        c.proof_bits_total <- c.proof_bits_total + proof_msg_bits;
+        if indexed then send_proof chans.(i)
+        else
+          send chans.(i)
+            (Proof (int64_of_halves rscratch 1, Int64.of_int !nonce))
+            proof_msg_bits
+      done
+    done
   in
 
   let rec loop events =
@@ -787,7 +827,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
     else begin
       (* Scheduled transient corruption: mutate a victim's real state
          mid-run, exactly as §3's arbitrary-configuration premise
-         allows.  The stamp-keyed serialization memo misses on the
+         allows.  The stamp-keyed digest memo misses on the
          fresh construction by itself; the victim's guards must be
          re-examined, so it re-enters the candidate set. *)
       (match chaos with

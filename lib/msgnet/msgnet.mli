@@ -166,9 +166,18 @@ val codec_bytes : 's Ss_core.Cellpack.codec -> 's Ss_core.Trans_state.t -> strin
     first byte the status, and the per-cell word image is injective
     (unpack inverts pack), two states map to equal bytes iff their
     snapshots are equal: proof waves may hash either encoding and reach
-    the same verdicts.  [run ~codec] uses this encoder (through a
-    reused buffer) for every proof pre-image; this entry point is the
-    allocation-honest version for tests. *)
+    the same verdicts.  [run ~codec] hashes this image without
+    building it ({!codec_digest}); this entry point is the reference
+    for tests and benchmarks. *)
+
+val codec_digest : 's Ss_core.Cellpack.codec -> 's Ss_core.Trans_state.t -> int64
+(** [codec_digest c st] is [Ss_prelude.Util.fnv1a64 (codec_bytes c st)],
+    the nonce-free proof digest, computed by streaming the codec words
+    of [st] through the hash with no buffer or string.  A packed state
+    whose arena uses [c] is read straight from its slab.  [run ~codec]
+    memoizes exactly this digest per state and per mirror, and salts
+    it per wave: the proof for nonce [k] is
+    [Energy.state_proof ~nonce:k (codec_bytes c st)]. *)
 
 val run :
   ?codec:'s Ss_core.Cellpack.codec ->
@@ -226,12 +235,14 @@ val run :
 
     [codec] switches every proof pre-image from the [Marshal]
     reference encoding to the algorithm's {!codec_bytes} encoding
-    (equality-equivalent, so proof verdicts are unchanged) and
-    int-packs [D_ru] payload cells onto the wire rings.  [layout]
-    (default [`Auto]) selects the mirror backing per {!type-layout}.
-    Pre-images are additionally memoized by the state's §10 version
-    stamp, so a proof wave only re-encodes states and mirrors that
-    changed since the last wave.
+    (equality-equivalent, so proof verdicts are unchanged), hashed by
+    streaming the codec words ({!codec_digest}), and int-packs [D_ru]
+    payload cells onto the wire rings.  [layout] (default [`Auto])
+    selects the mirror backing per {!type-layout}.  The nonce-free
+    digests are memoized by the state's §10 version stamp, so a proof
+    wave only re-hashes states and mirrors that changed since the last
+    wave and otherwise just salts the memo.  Proofs travel as int ring
+    records and are checked from them: no [Proof] value is built.
 
     Each event costs O(1) amortized in the number of channels: pending
     links come from the maintained {!Chanset}, pending messages live

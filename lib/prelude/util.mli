@@ -41,3 +41,15 @@ val fnv1a64 : string -> int64
 (** [fnv1a64 s] is the 64-bit FNV-1a hash of [s].  Used by the §6
     energy model to stand in for the "hash of the state salted with a
     nonce". *)
+
+val fnv1a64_words_into :
+  lead:char -> int array -> int -> int array -> int -> unit
+(** [fnv1a64_words_into ~lead words len dst off] hashes, without
+    building it, the string made of the byte [lead] followed by
+    [words.(0 .. len-1)], each written as a sign-extended
+    little-endian 64-bit integer (the bytes
+    [Buffer.add_int64_le b (Int64.of_int w)] appends).  The 64-bit
+    {!fnv1a64} of that string is stored as two 32-bit halves: the low
+    half in [dst.(off)], the high half in [dst.(off + 1)].  Allocates
+    nothing.
+    @raise Invalid_argument if [len] is outside [\[0, length words\]]. *)

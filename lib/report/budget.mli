@@ -60,6 +60,10 @@ val deadline_check : ?now:(unit -> float) -> t -> unit -> bool
     that turns [true] once the deadline has passed.  Constant [false]
     (and free of clock reads) when no deadline is set.
 
+    On the default clock a check compares raw monotonic nanoseconds
+    as immediate ints and allocates nothing (the loops check once per
+    engine step and once per message event).
+
     [now] injects the time source (default {!now_s}).  Deterministic
     simulations pass a virtual clock ([Ss_chaos.Clock.now_fn]) so
     deadline budgets depend only on simulated time — wall-clock jumps,

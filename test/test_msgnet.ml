@@ -444,6 +444,46 @@ let codec_qcheck_tests =
         in
         agree_with_marshal && agree_with_equality
         && M.codec_bytes Cv.codec packed = ca);
+    Test.make ~count:300
+      ~name:"streamed codec digest ≡ fnv1a64 of the codec bytes"
+      (pair (small_list small_int) small_nat)
+      (fun (ops, k) ->
+        let cap = 12 in
+        let init = cv_cell 3 in
+        let boxed =
+          apply_ops ~cap (St.make ~init ~status:St.C ~cells:[||]) ops
+        in
+        (* The packed replica lives in an arena of the same codec, so
+           its digest is read straight from the slab. *)
+        let arena = Cellpack.arena ~codec:Cv.codec ~n:1 ~cap:(cap + 4) in
+        let packed =
+          apply_ops ~cap
+            (St.rebuild
+               (St.packed_clean arena ~node:0 ~init)
+               ~status:St.C ~cells:[||])
+            ops
+        in
+        let bytes st = M.codec_bytes Cv.codec st in
+        let reference st = Ss_prelude.Util.fnv1a64 (bytes st) in
+        (* Salting the digest halves gives the proof of the bytes. *)
+        let halves h =
+          [|
+            Int64.to_int (Int64.logand h 0xFFFF_FFFFL);
+            Int64.to_int (Int64.shift_right_logical h 32);
+          |]
+        in
+        let salted st =
+          let dst = [| 0; 0 |] in
+          Ss_energy.Energy.write_proof ~nonce:k
+            (halves (M.codec_digest Cv.codec st))
+            0 dst 0;
+          dst
+          = halves
+              (Ss_energy.Energy.state_proof ~nonce:(Int64.of_int k) (bytes st))
+        in
+        M.codec_digest Cv.codec boxed = reference boxed
+        && M.codec_digest Cv.codec packed = reference packed
+        && salted boxed && salted packed);
   ]
 
 let test_codec_run_differential_cv () =

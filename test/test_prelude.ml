@@ -240,9 +240,50 @@ let test_array_equal () =
   check "empty" true (Util.array_equal Int.equal [||] [||])
 
 let test_fnv1a64 () =
-  check "deterministic" true (Util.fnv1a64 "abc" = Util.fnv1a64 "abc");
+  (* Known-answer vectors of 64-bit FNV-1a. *)
+  List.iter
+    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "%S" s) h (Util.fnv1a64 s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ];
   check "discriminates" true (Util.fnv1a64 "abc" <> Util.fnv1a64 "abd");
   check "empty vs nonempty" true (Util.fnv1a64 "" <> Util.fnv1a64 "x")
+
+(* The hash runs once per proof pre-image: only its boxed result may
+   be allocated, whatever the input length. *)
+let test_fnv1a64_alloc () =
+  let s = String.init 1024 (fun i -> Char.chr (i land 255)) in
+  ignore (Util.fnv1a64 s);
+  let w0 = Gc.minor_words () in
+  let h = Util.fnv1a64 s in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity h);
+  check (Printf.sprintf "%.0f words <= 3 on 1 KiB" words) true (words <= 3.)
+
+(* The streamed word image hashes like the string it stands for,
+   including the sign bytes of negative words. *)
+let fnv_of_word_image lead words =
+  let b = Buffer.create 16 in
+  Buffer.add_char b lead;
+  Array.iter (fun w -> Buffer.add_int64_le b (Int64.of_int w)) words;
+  Util.fnv1a64 (Buffer.contents b)
+
+let words_digest lead words =
+  let dst = [| 0; 0; 0 |] in
+  Util.fnv1a64_words_into ~lead words (Array.length words) dst 1;
+  Int64.logor (Int64.of_int dst.(1)) (Int64.shift_left (Int64.of_int dst.(2)) 32)
+
+let test_fnv1a64_words () =
+  let words = [| 0; 1; -1; max_int; min_int; 0x1234_5678_9abc |] in
+  Alcotest.(check int64) "extreme words" (fnv_of_word_image 'C' words)
+    (words_digest 'C' words);
+  Alcotest.(check int64) "no words" (Util.fnv1a64 "E") (words_digest 'E' [||]);
+  let dst = [| 0; 0 |] in
+  let w0 = Gc.minor_words () in
+  Util.fnv1a64_words_into ~lead:'C' words (Array.length words) dst 0;
+  check "allocates nothing" true (Gc.minor_words () -. w0 = 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Table                                                                *)
@@ -305,6 +346,11 @@ let qcheck_tests =
       (fun n ->
         let k = Util.ceil_log2 n in
         (1 lsl k) >= n && (k = 0 || 1 lsl (k - 1) < n));
+    Test.make ~count:300 ~name:"fnv1a64_words_into ≡ fnv1a64 of the word image"
+      (pair printable_char (small_list int))
+      (fun (lead, ws) ->
+        let words = Array.of_list ws in
+        words_digest lead words = fnv_of_word_image lead words);
     Test.make ~count:300 ~name:"bit_width is tight"
       (int_range 0 (1 lsl 20))
       (fun n ->
@@ -347,6 +393,8 @@ let () =
           Alcotest.test_case "list helpers" `Quick test_list_helpers;
           Alcotest.test_case "array_equal" `Quick test_array_equal;
           Alcotest.test_case "fnv1a64" `Quick test_fnv1a64;
+          Alcotest.test_case "fnv1a64 allocation" `Quick test_fnv1a64_alloc;
+          Alcotest.test_case "fnv1a64 word image" `Quick test_fnv1a64_words;
         ] );
       ( "table",
         [

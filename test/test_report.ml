@@ -157,6 +157,18 @@ let test_deadline_monotonic () =
   done;
   check "deadline fires after allowance elapses" true (trip ())
 
+(* The default-clock check runs once per engine step and once per
+   message-network event, so it must allocate nothing. *)
+let test_deadline_check_alloc_free () =
+  let expired = Budget.deadline_check (Budget.v ~deadline_s:3600. ()) in
+  ignore (expired ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (expired ()))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 1000 checks" 0. words
+
 (* ------------------------------------------------------------------ *)
 (* Run_report round-trips                                               *)
 (* ------------------------------------------------------------------ *)
@@ -559,6 +571,8 @@ let () =
           Alcotest.test_case "outcome strings" `Quick
             test_budget_outcome_strings;
           Alcotest.test_case "deadline check" `Quick test_deadline_check;
+          Alcotest.test_case "deadline check allocates nothing" `Quick
+            test_deadline_check_alloc_free;
           Alcotest.test_case "deadline monotonic" `Quick
             test_deadline_monotonic;
         ] );

@@ -23,6 +23,8 @@ let lazy_params = Transformer.params Min_flood.algo
 let greedy_params b =
   Transformer.params ~mode:P.Greedy ~bound:(P.Finite b) Min_flood.algo
 
+let sc = P.make_scratch ()
+
 (* A view of a min-flood transformer node: [input] is the node's own
    initial value. *)
 let view ?(input = 5) self neighbors =
@@ -114,8 +116,8 @@ let test_stamps () =
 let test_algo_hat () =
   (* algô(p, i) = min over the closed neighborhood's cells i. *)
   let v = view ~input:5 (st 5 [ 4 ]) [ st 9 [ 2 ]; st 7 [ 8 ] ] in
-  check_int "at 0" 5 (P.algo_hat lazy_params v 0);
-  check_int "at 1" 2 (P.algo_hat lazy_params v 1)
+  check_int "at 0" 5 (P.algo_hat sc lazy_params v 0);
+  check_int "at 1" 2 (P.algo_hat sc lazy_params v 1)
 
 let test_algo_err_detects_wrong_cell () =
   (* Cell 2 should be min(5, 9) = 5 but holds 7. *)
@@ -231,29 +233,59 @@ let test_updatable_lazy_stops_at_fixpoint () =
   (* min-flood already stable at height 1, no neighbor ahead: lazily
      silent. *)
   let v = view ~input:5 (st 5 [ 5 ]) [ st 9 [ 9 ] ] in
-  check "lazy does not extend" false (P.updatable lazy_params v);
-  check "greedy extends" true (P.updatable (greedy_params 10) v)
+  check "lazy does not extend" false (P.updatable sc lazy_params v);
+  check "greedy extends" true (P.updatable sc (greedy_params 10) v)
 
 let test_updatable_lazy_continues_when_needed () =
   (* Simulation not finished: the next cell would differ. *)
   let v = view ~input:9 (st 9 [ 9 ]) [ st 5 [ 5 ] ] in
-  check "value still changing" true (P.updatable lazy_params v);
+  check "value still changing" true (P.updatable sc lazy_params v);
   (* Or a neighbor is already ahead. *)
   let v' = view ~input:5 (st 5 [ 5 ]) [ st 9 [ 9; 9 ] ] in
-  check "neighbor ahead" true (P.updatable lazy_params v')
+  check "neighbor ahead" true (P.updatable sc lazy_params v')
 
 let test_updatable_requires_aligned_neighbors () =
   (* A neighbor strictly below blocks RU. *)
   let v = view ~input:9 (st 9 [ 9 ]) [ st 5 [] ] in
-  check "lower neighbor blocks" false (P.updatable lazy_params v);
+  check "lower neighbor blocks" false (P.updatable sc lazy_params v);
   (* An error status blocks RU. *)
   let v' = view ~input:9 (st ~status:St.E 9 [ 9 ]) [ st 5 [ 5 ] ] in
-  check "error status blocks" false (P.updatable lazy_params v')
+  check "error status blocks" false (P.updatable sc lazy_params v')
 
 let test_updatable_respects_bound () =
   let v = view ~input:9 (st 9 [ 9 ]) [ st 5 [ 5 ] ] in
-  check "B=1 full" false (P.updatable (greedy_params 1) v);
-  check "B=2 has room" true (P.updatable (greedy_params 2) v)
+  check "B=1 full" false (P.updatable sc (greedy_params 1) v);
+  check "B=2 has room" true (P.updatable sc (greedy_params 2) v)
+
+(* Allocation pins for the four rule guards of [Transformer.algorithm]:
+   minor words per evaluation on a fixed view, after one warm-up
+   evaluation has filled the watermark cache and the scratch. *)
+let guard_words algo name v =
+  let r = List.find (fun r -> r.Algorithm.rule_name = name) algo.Algorithm.rules in
+  ignore (r.Algorithm.guard v);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (r.Algorithm.guard v))
+  done;
+  (Gc.minor_words () -. w0) /. 100.
+
+let test_guard_allocation () =
+  let algo = Transformer.algorithm lazy_params in
+  let pin name v bound =
+    let w = guard_words algo name v in
+    check (Printf.sprintf "%s guard: %.2f words <= %d" name w bound) true
+      (w <= float bound)
+  in
+  (* A verified, aligned node: RR answers from its watermark and then
+     scans for a cliff, RP and RC scan the neighbors, and lazy RU gets
+     as far as [algo_hat] — every guard allocates nothing. *)
+  let quiet = view ~input:5 (st 5 [ 3; 3 ]) [ st 4 [ 3; 3 ]; st 3 [ 3; 3 ] ] in
+  List.iter
+    (fun name -> pin name quiet 0)
+    [ Transformer.rr; Transformer.rp; Transformer.rc; Transformer.ru ];
+  (* An enabled RP returns its index boxed: one [Some]. *)
+  let propagating = view (st 5 [ 5; 5; 5 ]) [ st ~status:St.E 5 [ 5 ] ] in
+  pin Transformer.rp propagating 2
 
 let test_below_bound () =
   check "finite" true (P.below_bound (P.Finite 3) 2);
@@ -651,7 +683,7 @@ let qcheck_tests =
       (fun seed ->
         let rng = Rng.create (seed + 1) in
         let v = random_view rng in
-        not (P.can_clear_e lazy_params v && P.updatable lazy_params v));
+        not (P.can_clear_e lazy_params v && P.updatable sc lazy_params v));
     Test.make ~count:500
       ~name:"an error node always has RR, RP or RC available unless frozen"
       small_int
@@ -663,7 +695,7 @@ let qcheck_tests =
         let _ = P.is_root lazy_params v in
         let _ = P.err_prop_index lazy_params v in
         let _ = P.can_clear_e lazy_params v in
-        let _ = P.updatable lazy_params v in
+        let _ = P.updatable sc lazy_params v in
         let _ = P.algo_err lazy_params v in
         let _ = P.dep_err lazy_params v in
         true);
@@ -678,7 +710,7 @@ let qcheck_tests =
         let lazy10 =
           Transformer.params ~bound:(P.Finite 10) Min_flood.algo
         in
-        (not (P.updatable lazy10 v)) || P.updatable g10 v);
+        (not (P.updatable sc lazy10 v)) || P.updatable sc g10 v);
     Test.make ~count:200
       ~name:"terminal lazy configuration is terminal for greedy with B = h"
       small_int
@@ -746,6 +778,7 @@ let () =
           Alcotest.test_case "alignment required" `Quick
             test_updatable_requires_aligned_neighbors;
           Alcotest.test_case "bound respected" `Quick test_updatable_respects_bound;
+          Alcotest.test_case "guard allocation" `Quick test_guard_allocation;
           Alcotest.test_case "below_bound" `Quick test_below_bound;
         ] );
       ( "rules",
